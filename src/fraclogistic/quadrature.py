@@ -9,7 +9,13 @@ equation whose convolution kernels have elementary Laplace transforms:
 
 Backward-Euler convolution quadrature replaces s by delta(zeta)/h with
 delta(zeta) = 1 - zeta; the quadrature weights are the Taylor coefficients
-of F(delta(zeta)/h), extracted by FFT on a circle of radius rho < 1.
+of F(delta(zeta)/h).  For the Riemann-Liouville symbol these are the
+Gruenwald-Letnikov coefficients of (1 - zeta)^(-a), which follow exactly
+from the recurrence w_0 = h^a, w_j = w_{j-1} (j - 1 + a) / j (Lubich,
+"Discretized fractional calculus", SIAM J. Math. Anal. 1986).  The decay
+and growth weights have no such closed form and are extracted by FFT on a
+circle of radius rho < 1; the contour analysis below applies to those two
+branches only.
 
 Accuracy of the extraction is governed by two competing effects: aliasing
 (contributions of coefficients j + m N folded back by the discrete sum,
@@ -17,8 +23,12 @@ proportional to rho^{N}) and rounding amplification (machine noise in the
 samples divided by rho^{j}).  With rho^N = eps_c and N >= 8 (n + 1) the
 amplification at j = n is at most eps_c^{-1/8} ~ 56, keeping weight errors
 near 1e-13 while aliasing stays below eps_c.  For the growth kernel the
-symbol has a pole at zeta = 1 - h; the radius is additionally capped at
-1 - 2 h so the contour never approaches it.
+symbol has a pole at zeta = 1 - h, so its weights grow like (1 - h)^{-j}
+and the relative aliasing is (rho / (1 - h))^N: the radius is
+rho = (1 - h) eps_c^{1/N}, capped at 1 - 2 h so the contour never
+approaches the pole.  Where the cap binds, ((1 - 2 h) / (1 - h))^N is
+already below eps_c, and in both cases the amplification relative to the
+growing weights stays at most eps_c^{-1/8}.
 """
 
 from __future__ import annotations
@@ -85,8 +95,9 @@ class WeightTable:
     """Convolution quadrature weights w_0..w_n for one kernel.
 
     ``radius`` and ``points`` record the extraction contour for diagnostics;
-    the discrete convolution (K * g)(t_m) ~ sum_{j=0}^{m} w_{m-j} g_j needs
-    only ``weights``.
+    ``points == 0`` (with ``radius == 0``) means no contour was used, because
+    the weights came from a closed form.  The discrete convolution
+    (K * g)(t_m) ~ sum_{j=0}^{m} w_{m-j} g_j needs only ``weights``.
     """
 
     kernel: KernelSpec
@@ -110,13 +121,20 @@ class WeightTable:
 def cq_weights(spec: KernelSpec, n: int, eps_contour: float = 1e-14) -> WeightTable:
     """Backward-Euler convolution quadrature weights w_0..w_n.
 
-    Raises :class:`ContourError` if the FFT extraction fails its
-    self-consistency checks (non-finite samples, broken round-trip, or
-    violated kernel-specific sign/sum invariants).
+    Riemann-Liouville weights come from their closed-form recurrence and
+    ignore ``eps_contour``.  For the decay and growth branches, raises
+    :class:`ContourError` if the FFT extraction fails its self-consistency
+    checks (non-finite samples, broken round-trip, or violated
+    kernel-specific sign/sum invariants).
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     h = spec.step
+    if spec.branch is KernelBranch.RIEMANN_LIOUVILLE:
+        j = np.arange(1, n + 1, dtype=float)
+        ratios = np.cumprod((j - 1.0 + spec.alpha) / j)
+        weights = h ** spec.alpha * np.concatenate(([1.0], ratios))
+        return WeightTable(kernel=spec, weights=weights, radius=0.0, points=0)
     num = 1 << max(4, int(math.ceil(math.log2(8.0 * (n + 1)))))
     rho = eps_contour ** (1.0 / num)
     if spec.branch is KernelBranch.GROWTH:
@@ -125,7 +143,7 @@ def cq_weights(spec: KernelSpec, n: int, eps_contour: float = 1e-14) -> WeightTa
             raise ContourError(
                 f"growth weights need step < 0.25 to separate the contour "
                 f"from the symbol pole, got h={h}")
-        rho = min(rho, 1.0 - 2.0 * h)
+        rho = min((1.0 - h) * rho, 1.0 - 2.0 * h)
 
     k = np.arange(num)
     zeta = rho * np.exp(2j * np.pi * k / num)
@@ -133,10 +151,8 @@ def cq_weights(spec: KernelSpec, n: int, eps_contour: float = 1e-14) -> WeightTa
     sa = s ** spec.alpha
     if spec.branch is KernelBranch.DECAY:
         samples = 1.0 / (sa + 1.0)
-    elif spec.branch is KernelBranch.GROWTH:
-        samples = 1.0 / (sa - 1.0)
     else:
-        samples = 1.0 / sa
+        samples = 1.0 / (sa - 1.0)
     if not np.all(np.isfinite(samples.real) & np.isfinite(samples.imag)):
         raise ContourError(f"non-finite symbol samples for {spec}")
 
@@ -162,8 +178,4 @@ def cq_weights(spec: KernelSpec, n: int, eps_contour: float = 1e-14) -> WeightTa
         if partial[0] <= 0.0 or np.max(partial) > 1.0 + 1e-8:
             raise ContourError(
                 f"decay weight partial sums left (0, 1]: max={np.max(partial)}")
-    elif spec.branch is KernelBranch.RIEMANN_LIOUVILLE:
-        # Gruenwald-Letnikov weights are positive; allow tiny FFT noise
-        if np.min(weights) < -1e-12 * max(np.max(np.abs(weights)), 1.0):
-            raise ContourError(f"negative Riemann-Liouville weight for {spec}")
     return WeightTable(kernel=spec, weights=weights, radius=rho, points=num)

@@ -31,6 +31,16 @@ variant (re-evaluating g at the new node until a fixed point, tolerance
 the iteration diverges or fails to settle) is available behind the
 ``picard`` flag for accuracy studies.
 
+Weight tables and the homogeneous term are sized from the paper's
+dichotomy.  ``Logistic`` starts in (0, 1] exist globally, so their run
+builds one table for the whole horizon.  Every other start blows up in
+finite time: its run starts with a table of ``_FIRST_TABLE`` steps and,
+whenever the march reaches the end of the table, builds one twice as long
+(capped at the horizon) and evaluates the homogeneous term for the new
+nodes only, so a run pays for the steps it reaches.  A later table or
+homogeneous chunk that fails to certify ends the run as an accuracy failure
+at the last marched node.
+
 Blow-up is detected when a value exceeds the configured threshold after
 strictly increasing over the preceding three steps (a confirmation window
 that suppresses one-off rounding spikes).  Blow-up is a trajectory *status*,
@@ -224,6 +234,10 @@ _BRANCH: Dict[Nonlinearity, KernelBranch] = {
 }
 
 
+# Steps covered by the first weight table of a run expected to blow up.
+_FIRST_TABLE = 1024
+
+
 def _recent_increase(values: np.ndarray, k: int) -> bool:
     """True when values strictly increased over the window [k-3, k].
 
@@ -300,6 +314,14 @@ def solve(spec: ProblemSpec, picard: bool = False) -> Trajectory:
     evaluation refuses to certify accuracy mid-run (status
     ``ACCURACY_FAILURE`` — reported in the trajectory, never raised).
 
+    ``Logistic`` runs with ``u0 <= 1`` build their weight table and
+    homogeneous term for all of ``t_max`` at once.  Every other run starts
+    with ``_FIRST_TABLE`` steps and doubles the table, capped at ``t_max``,
+    each time the march reaches its end.  If a table or the homogeneous
+    term on its new nodes fails to certify, the run ends as
+    ``ACCURACY_FAILURE`` at the last node it marched (node 0 when the first
+    table fails).
+
     With ``picard=True`` each step is corrected to the fixed point of
     u = base + w_0 g(u) (tolerance 1e-12, at most 25 iterations) instead of
     the default semi-implicit division by (1 - w_0).  Steps where the
@@ -308,35 +330,39 @@ def solve(spec: ProblemSpec, picard: bool = False) -> Trajectory:
     h = float(spec.step)
     n_steps = max(1, int(math.floor(spec.t_max / h + 1e-9)))
     times = h * np.arange(n_steps + 1, dtype=float)
+    kernel = KernelSpec(_BRANCH[spec.nonlinearity], spec.alpha, h)
+    global_start = spec.nonlinearity is Nonlinearity.LOGISTIC and spec.u0 <= 1.0
+    first_table = n_steps if global_start else min(_FIRST_TABLE, n_steps)
 
     g = _FORCING[spec.nonlinearity]
-    try:
-        table = cq_weights(KernelSpec(_BRANCH[spec.nonlinearity], spec.alpha, h), n_steps)
-    except AccuracyError:
-        return Trajectory(
-            times[:1], np.array([float(spec.u0)]), TrajectoryStatus.ACCURACY_FAILURE, 0
-        )
-    weights = table.weights
-    w0 = float(weights[0])
-    denom = 1.0 - w0
-    wrev = np.ascontiguousarray(weights[::-1])
-
-    hom, hom_valid = _homogeneous(spec, times)
-    if hom_valid == 0:
-        return Trajectory(
-            times[:1], np.array([float(spec.u0)]), TrajectoryStatus.ACCURACY_FAILURE, 0
-        )
-
     values = np.empty(n_steps + 1)
     forcing = np.empty(n_steps + 1)
     values[0] = float(spec.u0)
     forcing[0] = g(values[0])
     threshold = float(spec.blowup_threshold)
 
+    n_table = 0  # steps covered by the current weight table
+    hom = np.empty(0)
+    hom_valid = 0
     for m in range(1, n_steps + 1):
+        if m > n_table:
+            # The march reached the end of the table, and of a homogeneous
+            # term valid up to there: build the next table and evaluate the
+            # homogeneous term on the new nodes only.
+            n_table = min(2 * n_table, n_steps) if n_table else first_table
+            try:
+                weights = cq_weights(kernel, n_table).weights
+            except AccuracyError:
+                return _finalize(times, values, m - 1, threshold, accuracy_failed=True)
+            w0 = float(weights[0])
+            denom = 1.0 - w0
+            wrev = np.ascontiguousarray(weights[::-1])
+            more, more_valid = _homogeneous(spec, times[hom.size : n_table + 1])
+            hom = np.concatenate((hom, more))
+            hom_valid += more_valid
         if m >= hom_valid:
             return _finalize(times, values, m - 1, threshold, accuracy_failed=True)
-        base = float(hom[m]) + float(np.dot(wrev[n_steps - m : n_steps], forcing[:m]))
+        base = float(hom[m]) + float(np.dot(wrev[n_table - m : n_table], forcing[:m]))
         u = base / denom
         if picard and math.isfinite(u):
             # Fixed-point correction of u = base + w0 g(u).  The iteration

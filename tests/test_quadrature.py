@@ -113,6 +113,20 @@ class TestClosedForms:
         assert rel <= 1e-10
         assert np.all(table.weights > 0.0)
 
+    def test_riemann_liouville_recurrence_at_production_size(self):
+        # The vectorized recurrence accumulates its products in another
+        # order than the scalar loop; over 2e5 factors the two agree to a
+        # few hundred ulps.
+        alpha, h, n = 0.3, 1e-5, 200_000
+        table = cq_weights(KernelSpec(KernelBranch.RIEMANN_LIOUVILLE, alpha, h), n)
+        ref = _gl_reference(alpha, h, n)
+        assert np.max(np.abs(table.weights - ref) / ref) <= 1e-12
+
+    def test_riemann_liouville_uses_no_contour(self):
+        table = cq_weights(KernelSpec(KernelBranch.RIEMANN_LIOUVILLE, 0.5, 0.01), 100)
+        assert table.points == 0
+        assert table.radius == 0.0
+
 
 class TestDecayMass:
     def test_partial_sums_monotone_and_bounded(self):
@@ -199,23 +213,37 @@ class TestSymbolAlgebra:
     quadrature maps symbol products to weight convolutions exactly, so the
     identities survive discretization to rounding error."""
 
-    def test_decay_from_riemann_liouville(self):
+    # (n, h): a small table, and one of the size a blow-up run reaches
+    # after three doublings, where the FFT-extracted weights are checked
+    # against the closed-form Riemann-Liouville table.
+    SIZES = [(256, 0.02), (8192, 1e-4)]
+
+    @pytest.mark.parametrize("n,h", SIZES)
+    def test_decay_from_riemann_liouville(self, n, h):
         # 1/(s^a+1) = s^-a - s^-a * 1/(s^a+1)
-        n = 256
-        h = 0.02
         dec = cq_weights(KernelSpec(KernelBranch.DECAY, 0.5, h), n).weights
         rl = cq_weights(KernelSpec(KernelBranch.RIEMANN_LIOUVILLE, 0.5, h), n).weights
         conv = np.convolve(dec, rl)[: n + 1]
         np.testing.assert_allclose(dec, rl - conv, rtol=0.0, atol=5e-12)
 
-    def test_growth_from_riemann_liouville(self):
+    @pytest.mark.parametrize("n,h", SIZES)
+    def test_growth_from_riemann_liouville(self, n, h):
         # 1/(s^a-1) = s^-a + s^-a * 1/(s^a-1)
-        n = 256
-        h = 0.02
         gro = cq_weights(KernelSpec(KernelBranch.GROWTH, 0.5, h), n).weights
         rl = cq_weights(KernelSpec(KernelBranch.RIEMANN_LIOUVILLE, 0.5, h), n).weights
         conv = np.convolve(gro, rl)[: n + 1]
         np.testing.assert_allclose(gro, rl + conv, rtol=0.0, atol=5e-12)
+
+    @pytest.mark.parametrize("n", [1024, 2048, 4096, 8192])
+    def test_growth_identity_relative_at_doubling_sizes(self, n):
+        # The growth weights increase like (1 - h)^-j, so the contour radius
+        # must allow for that growth or aliasing costs digits at the table
+        # sizes a doubling run asks for (4.8e-9 at n = 8192 otherwise).
+        h = 1e-4
+        gro = cq_weights(KernelSpec(KernelBranch.GROWTH, 0.5, h), n).weights
+        rl = cq_weights(KernelSpec(KernelBranch.RIEMANN_LIOUVILLE, 0.5, h), n).weights
+        conv = np.convolve(gro, rl)[: n + 1]
+        assert np.max(np.abs(gro - (rl + conv)) / gro) <= 1e-10
 
 
 class TestWeightTable:

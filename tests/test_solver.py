@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import fraclogistic.solver as solver_module
 from fraclogistic.solver import (
     BlowUpReport,
     Nonlinearity,
@@ -23,6 +24,7 @@ from fraclogistic.solver import (
     trajectory_to_csv,
     write_csv,
 )
+from fraclogistic.special import AccuracyError
 
 # Detected blow-up times on the h = 1e-4 grid (threshold 1e10), frozen.
 DETECTED_TIMES = {
@@ -32,6 +34,7 @@ DETECTED_TIMES = {
     (0.5, 5.0): 0.0143,
     (0.3, 2.0): 0.0255,
     (0.7, 2.0): 0.2781,
+    (0.7, 1.5): 0.5295,  # crosses three weight-table doublings
 }
 
 # Terminal value of the decaying run (alpha=1/2, u0=1/2, h=1e-3, t_max=5).
@@ -294,6 +297,96 @@ class TestAccuracyFailure:
         assert traj.status_index == 0
         assert len(traj) == 1
         assert traj.values[0] == 1.0
+
+
+class TestSizedTables:
+    """Weight tables follow the steps a run reaches: one full table for
+    logistic starts in (0, 1], doubling tables for every start that blows
+    up, and a failure on a later table that ends the run where it stands."""
+
+    @pytest.fixture
+    def table_sizes(self, monkeypatch):
+        sizes = []
+        original = solver_module.cq_weights
+
+        def recording(spec, n, *args, **kwargs):
+            sizes.append(n)
+            return original(spec, n, *args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "cq_weights", recording)
+        return sizes
+
+    def test_decay_run_builds_one_full_table(self, table_sizes):
+        traj = solve(ProblemSpec(0.5, 0.5, step=1e-3, t_max=5.0))
+        assert traj.status is TrajectoryStatus.COMPLETED
+        assert table_sizes == [5000]
+
+    @pytest.mark.parametrize(
+        "nonlinearity,u0",
+        [
+            (Nonlinearity.LOGISTIC, 1.5),
+            (Nonlinearity.SHIFTED_LOGISTIC, 1.0),
+            (Nonlinearity.SQUARE, 1.0),
+            (Nonlinearity.SHIFTED_SQUARE, 1.0),
+        ],
+    )
+    def test_blowup_run_tables_follow_the_march(self, table_sizes, nonlinearity, u0):
+        traj = solve(
+            ProblemSpec(0.7, u0, nonlinearity=nonlinearity, step=1e-4, t_max=2.0)
+        )
+        assert traj.status is TrajectoryStatus.BLEW_UP
+        assert table_sizes[0] == 1024
+        assert all(b == 2 * a for a, b in zip(table_sizes, table_sizes[1:]))
+        assert max(table_sizes) <= max(1024, 2 * traj.status_index)
+
+    def test_doubling_capped_at_horizon(self, table_sizes):
+        # w' = w^2 from w0 = 0.05 blows up near t = 5, past t_max = 0.3.
+        traj = solve(
+            ProblemSpec(0.5, 0.05, nonlinearity=Nonlinearity.SQUARE, step=1e-4, t_max=0.3)
+        )
+        assert traj.status is TrajectoryStatus.COMPLETED
+        assert table_sizes == [1024, 2048, 3000]
+
+    def test_failure_on_later_table_keeps_marched_nodes(self, monkeypatch):
+        spec = ProblemSpec(0.7, 2.0, step=1e-4, t_max=2.0)
+        reference = solve(spec)
+        original = solver_module.cq_weights
+        calls = []
+
+        def failing_second(*args, **kwargs):
+            calls.append(args[1])
+            if len(calls) == 2:
+                raise AccuracyError("refused to certify")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver_module, "cq_weights", failing_second)
+        traj = solve(spec)
+        assert calls == [1024, 2048]
+        assert traj.status is TrajectoryStatus.ACCURACY_FAILURE
+        assert traj.status_index == 1024
+        assert np.array_equal(traj.values, reference.values[:1025])
+
+    def test_failure_on_later_homogeneous_term(self, monkeypatch):
+        spec = ProblemSpec(0.7, 2.0, step=1e-4, t_max=2.0)
+        original = solver_module.ml_grid
+        calls = []
+
+        def failing_second(*args, **kwargs):
+            calls.append(len(args[1]))
+            if len(calls) == 2:
+                raise AccuracyError("refused to certify")
+            return original(*args, **kwargs)
+
+        def never_certifies(*args, **kwargs):
+            raise AccuracyError("refused to certify")
+
+        monkeypatch.setattr(solver_module, "ml_grid", failing_second)
+        monkeypatch.setattr(solver_module, "mittag_leffler", never_certifies)
+        traj = solve(spec)
+        # the second grid covers only the nodes the doubled table adds
+        assert calls == [1025, 1024]
+        assert traj.status is TrajectoryStatus.ACCURACY_FAILURE
+        assert traj.status_index == 1024
 
 
 class TestCsv:
