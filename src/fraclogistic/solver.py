@@ -332,32 +332,44 @@ def solve(spec: ProblemSpec, picard: bool = False) -> Trajectory:
     times = h * np.arange(n_steps + 1, dtype=float)
     kernel = KernelSpec(_BRANCH[spec.nonlinearity], spec.alpha, h)
     global_start = spec.nonlinearity is Nonlinearity.LOGISTIC and spec.u0 <= 1.0
-    first_table = n_steps if global_start else min(_FIRST_TABLE, n_steps)
+    n_table = n_steps if global_start else min(_FIRST_TABLE, n_steps)
 
     g = _FORCING[spec.nonlinearity]
+    try:
+        table = cq_weights(kernel, n_table)
+    except AccuracyError:
+        return Trajectory(
+            times[:1], np.array([float(spec.u0)]), TrajectoryStatus.ACCURACY_FAILURE, 0
+        )
+    weights = table.weights
+    w0 = float(weights[0])
+    denom = 1.0 - w0
+    wrev = np.ascontiguousarray(weights[::-1])
+
+    hom, hom_valid = _homogeneous(spec, times[: n_table + 1])
+    if hom_valid == 0:
+        return Trajectory(
+            times[:1], np.array([float(spec.u0)]), TrajectoryStatus.ACCURACY_FAILURE, 0
+        )
+
     values = np.empty(n_steps + 1)
     forcing = np.empty(n_steps + 1)
     values[0] = float(spec.u0)
     forcing[0] = g(values[0])
     threshold = float(spec.blowup_threshold)
 
-    n_table = 0  # steps covered by the current weight table
-    hom = np.empty(0)
-    hom_valid = 0
     for m in range(1, n_steps + 1):
         if m > n_table:
             # The march reached the end of the table, and of a homogeneous
-            # term valid up to there: build the next table and evaluate the
+            # term valid up to there: double the table and evaluate the
             # homogeneous term on the new nodes only.
-            n_table = min(2 * n_table, n_steps) if n_table else first_table
+            n_table = min(2 * n_table, n_steps)
             try:
                 weights = cq_weights(kernel, n_table).weights
             except AccuracyError:
                 return _finalize(times, values, m - 1, threshold, accuracy_failed=True)
-            w0 = float(weights[0])
-            denom = 1.0 - w0
             wrev = np.ascontiguousarray(weights[::-1])
-            more, more_valid = _homogeneous(spec, times[hom.size : n_table + 1])
+            more, more_valid = _homogeneous(spec, times[m : n_table + 1])
             hom = np.concatenate((hom, more))
             hom_valid += more_valid
         if m >= hom_valid:
