@@ -26,9 +26,11 @@ near 1e-13 while aliasing stays below eps_c.  For the growth kernel the
 symbol has a pole at zeta = 1 - h, so its weights grow like (1 - h)^{-j}
 and the relative aliasing is (rho / (1 - h))^N: the radius is
 rho = (1 - h) eps_c^{1/N}, capped at 1 - 2 h so the contour never
-approaches the pole.  Where the cap binds, ((1 - 2 h) / (1 - h))^N is
-already below eps_c, and in both cases the amplification relative to the
-growing weights stays at most eps_c^{-1/8}.
+approaches the pole.  Below the cap the amplification relative to the
+growing weights stays at most eps_c^{-1/8}.  Where the cap binds
+(h N > ln(1/eps_c) roughly), ((1 - 2 h) / (1 - h))^N is already below
+eps_c, but rounding is amplified relative to the weights by up to
+((1 - h) / (1 - 2 h))^n ~ e^{t_n}: about 3e-8 at t_n = 16.
 """
 
 from __future__ import annotations

@@ -261,7 +261,7 @@ def _first_detection(values: np.ndarray, threshold: float) -> Optional[int]:
 
 
 def _homogeneous(spec: ProblemSpec, times: np.ndarray) -> Tuple[np.ndarray, int]:
-    """Homogeneous term at every grid node.
+    """Homogeneous term at the nodes ``times`` (the whole grid or a new chunk of it).
 
     Returns ``(hom, valid)`` where entries ``hom[:valid]`` are usable.  An
     overflowed growth-branch Mittag-Leffler value comes back as the +inf
