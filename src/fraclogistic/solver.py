@@ -31,15 +31,29 @@ variant (re-evaluating g at the new node until a fixed point, tolerance
 the iteration diverges or fails to settle) is available behind the
 ``picard`` flag for accuracy studies.
 
+The history sum is tiled, not formed node by node (the block-triangular
+scheme of Hairer, Lubich and Schlichte, SIAM J. Sci. Stat. Comput. 1985).
+Nodes are grouped in base blocks of B = ``_BLOCK`` = 64.  A node takes the
+forcing of its own block by a direct dot product; everything older reaches
+it through a far-history accumulator seeded with ``hom_n``.  When block q
+opens at node m, one tile convolves the last s = B 2^ctz(q) forcing values
+with the weights and adds the result to the accumulators of nodes m to
+m + s - 1 (directly up to ``_DIRECT_TILE`` values, by FFT above that).
+Every pair j < n is counted once, so N steps cost O(N log^2 N) instead of
+the O(N^2) of a direct sum, and the sum agrees with the direct one to
+rounding.
+
 Weight tables and the homogeneous term are sized from the paper's
 dichotomy.  ``Logistic`` starts in (0, 1] exist globally, so their run
 builds one table for the whole horizon.  Every other start blows up in
 finite time: its run starts with a table of ``_FIRST_TABLE`` steps and,
 whenever the march reaches the end of the table, builds one twice as long
 (capped at the horizon) and evaluates the homogeneous term for the new
-nodes only, so a run pays for the steps it reaches.  A later table or
-homogeneous chunk that fails to certify ends the run as an accuracy failure
-at the last marched node.
+nodes only, so a run pays for the steps it reaches.  A doubling restarts the
+tiling at the last marched node, with all older forcing convolved against
+the new table in one FFT, so every node after it uses the new table only.
+A later table or homogeneous chunk that fails to certify ends the run as an
+accuracy failure at the last marched node.
 
 Blow-up is detected when a value exceeds the configured threshold after
 strictly increasing over the preceding three steps (a confirmation window
@@ -115,7 +129,7 @@ class ProblemSpec:
     both the decaying and the blowing-up regime.
 
     Invariants enforced at construction: ``0 < alpha < 1``, ``u0 > 0``,
-    ``0 < step <= t_max``, ``blowup_threshold > max(1, u0)``.
+    ``0 < step <= t_max < inf``, ``blowup_threshold > max(1, u0)``.
     """
 
     alpha: float
@@ -130,9 +144,9 @@ class ProblemSpec:
             raise ValueError("alpha must lie strictly inside (0, 1), got %r" % (self.alpha,))
         if not (self.u0 > 0.0 and math.isfinite(self.u0)):
             raise ValueError("u0 must be a positive finite real, got %r" % (self.u0,))
-        if not (0.0 < self.step <= self.t_max):
+        if not (0.0 < self.step <= self.t_max < math.inf):
             raise ValueError(
-                "need 0 < step <= t_max, got step=%r, t_max=%r" % (self.step, self.t_max)
+                "need 0 < step <= t_max < inf, got step=%r, t_max=%r" % (self.step, self.t_max)
             )
         if not self.blowup_threshold > max(1.0, self.u0):
             raise ValueError(
@@ -237,6 +251,37 @@ _BRANCH: Dict[Nonlinearity, KernelBranch] = {
 # Steps covered by the first weight table of a run expected to blow up.
 _FIRST_TABLE = 1024
 
+# Base block of the tiled history sum (a power of two).  A node reaches the
+# forcing inside its own block by a direct dot product and everything older
+# through the dyadic tiles added to its far-history accumulator.
+_BLOCK = 64
+
+# Tiles carrying at most this much history convolve directly; longer ones
+# go through an FFT.
+_DIRECT_TILE = 512
+
+
+def _tile(history: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray:
+    """Contribution of a stretch of forcing history to the nodes after it.
+
+    ``history`` holds f_{m-s}, ..., f_{m-1}.  Entry r of the result is
+    sum_{j=m-s}^{m-1} w_{m+r-j} f_j for r in [0, count): the share of
+    node m + r's history sum that this stretch carries.  ``weights`` must
+    hold w_0, ..., w_{s+count-1}.
+    """
+    s = history.size
+    w = weights[1 : s + count]
+    if s <= _DIRECT_TILE:
+        return np.convolve(history, w, "valid")
+    # a period of at least s + count - 1 keeps the wrap-around out of the
+    # entries s - 1, ..., s + count - 2 that are kept
+    n = 1 << (s + count - 1).bit_length()
+    # an overflowed (inf) forcing value comes out as NaN, which the march
+    # treats like the inf a direct sum would give
+    with np.errstate(invalid="ignore"):
+        full = np.fft.irfft(np.fft.rfft(history, n) * np.fft.rfft(w, n), n)
+    return full[s - 1 : s - 1 + count]
+
 
 def _recent_increase(values: np.ndarray, k: int) -> bool:
     """True when values strictly increased over the window [k-3, k].
@@ -312,7 +357,11 @@ def solve(spec: ProblemSpec, picard: bool = False) -> Trajectory:
     Marching stops at ``t_max``, on a confirmed threshold crossing
     (status ``BLEW_UP``), or when a kernel-weight or Mittag-Leffler
     evaluation refuses to certify accuracy mid-run (status
-    ``ACCURACY_FAILURE`` — reported in the trajectory, never raised).
+    ``ACCURACY_FAILURE`` — reported in the trajectory, never raised).  A
+    value that overflows the floating-point range before a confirmed
+    crossing (possible only with a threshold near or above the largest
+    double) also ends the run as ``ACCURACY_FAILURE``, at the last finite
+    node.
 
     ``Logistic`` runs with ``u0 <= 1`` build their weight table and
     homogeneous term for all of ``t_max`` at once.  Every other run starts
@@ -344,65 +393,91 @@ def solve(spec: ProblemSpec, picard: bool = False) -> Trajectory:
     weights = table.weights
     w0 = float(weights[0])
     denom = 1.0 - w0
-    wrev = np.ascontiguousarray(weights[::-1])
 
-    hom, hom_valid = _homogeneous(spec, times[: n_table + 1])
-    if hom_valid == 0:
+    hom, valid = _homogeneous(spec, times[: n_table + 1])
+    if valid == 0:
         return Trajectory(
             times[:1], np.array([float(spec.u0)]), TrajectoryStatus.ACCURACY_FAILURE, 0
         )
 
     values = np.empty(n_steps + 1)
     forcing = np.empty(n_steps + 1)
+    # far[m]: hom_m plus the history sum of node m over every forcing value
+    # older than m's base block, filled in by the tiles.
+    far = np.empty(n_steps + 1)
+    far[:valid] = hom[:valid]
     values[0] = float(spec.u0)
     forcing[0] = g(values[0])
     threshold = float(spec.blowup_threshold)
 
-    for m in range(1, n_steps + 1):
+    # near[i] = (w_i, ..., w_1): the weights a node i steps into its base
+    # block applies to the forcing before it in that block
+    near = [weights[i:0:-1] for i in range(_BLOCK)]
+    origin = 0
+    m = 1
+    while m <= n_steps:
         if m > n_table:
-            # The march reached the end of the table, and of a homogeneous
-            # term valid up to there: double the table and evaluate the
-            # homogeneous term on the new nodes only.
+            # The march reached the end of the table: double it, evaluate
+            # the homogeneous term on the new nodes only, and restart the
+            # tiling at origin = m - 1 with the older history convolved
+            # against the new weights in one piece.
             n_table = min(2 * n_table, n_steps)
             try:
                 weights = cq_weights(kernel, n_table).weights
             except AccuracyError:
                 return _finalize(times, values, m - 1, threshold, accuracy_failed=True)
-            wrev = np.ascontiguousarray(weights[::-1])
+            near = [weights[i:0:-1] for i in range(_BLOCK)]
             more, more_valid = _homogeneous(spec, times[m : n_table + 1])
-            hom = np.concatenate((hom, more))
-            hom_valid += more_valid
-        if m >= hom_valid:
+            origin = m - 1
+            valid = m + more_valid
+            far[m:valid] = more[:more_valid] + _tile(
+                forcing[:origin], weights, more_valid + 1
+            )[1:]
+        end = min(n_table + 1, valid)
+        if m >= end:
             return _finalize(times, values, m - 1, threshold, accuracy_failed=True)
-        base = float(hom[m]) + float(np.dot(wrev[n_table - m : n_table], forcing[:m]))
-        u = base / denom
-        if picard and math.isfinite(u):
-            # Fixed-point correction of u = base + w0 g(u).  The iteration
-            # only contracts while the step stays small; once the history
-            # drives base past the fold at 1/(4 w0) (square forcing) there is
-            # no real fixed point and the iterates run away.  Keeping the
-            # semi-implicit value in that case lets the march proceed into
-            # the blow-up regime instead of stalling below it.
-            prev = u
-            for _ in range(25):
-                cur = base + w0 * g(prev)
-                if not math.isfinite(cur):
-                    break
-                if abs(cur - prev) <= 1e-12 * max(1.0, abs(cur)):
-                    u = cur
-                    break
-                prev = cur
-        if not math.isfinite(u):
-            # The forcing history overflowed the representable range before a
-            # confirmed threshold crossing; classify whatever was recorded.
-            return _finalize(times, values, m - 1, threshold, accuracy_failed=False)
-        values[m] = u
-        fw = g(u)
-        forcing[m] = fw if math.isfinite(fw) else math.inf
-        if u > threshold and _recent_increase(values, m):
-            return Trajectory(
-                times[: m + 1], values[: m + 1].copy(), TrajectoryStatus.BLEW_UP, m
-            )
+        k = m - origin
+        if k % _BLOCK == 0:
+            # m opens base block q = k / B: the tile of size B * 2^ctz(q)
+            # carries the forcing just before m to the nodes from m on.
+            q = k // _BLOCK
+            s = _BLOCK * (q & -q)
+            count = min(s, end - m)
+            far[m : m + count] += _tile(forcing[m - s : m], weights, count)
+        start = m - k % _BLOCK
+        stop = min(start + _BLOCK, end)
+        for m in range(m, stop):
+            base = float(far[m]) + float(near[m - start].dot(forcing[start:m]))
+            u = base / denom
+            if picard and math.isfinite(u):
+                # Fixed-point correction of u = base + w0 g(u).  The iteration
+                # only contracts while the step stays small; once the history
+                # drives base past the fold at 1/(4 w0) (square forcing) there
+                # is no real fixed point and the iterates run away.  Keeping
+                # the semi-implicit value in that case lets the march proceed
+                # into the blow-up regime instead of stalling below it.
+                prev = u
+                for _ in range(25):
+                    cur = base + w0 * g(prev)
+                    if not math.isfinite(cur):
+                        break
+                    if abs(cur - prev) <= 1e-12 * max(1.0, abs(cur)):
+                        u = cur
+                        break
+                    prev = cur
+            if not math.isfinite(u):
+                # The forcing history overflowed the representable range
+                # before a confirmed threshold crossing: the values past here
+                # cannot be trusted, so the run ends at the last finite node.
+                return _finalize(times, values, m - 1, threshold, accuracy_failed=True)
+            values[m] = u
+            fw = g(u)
+            forcing[m] = fw if math.isfinite(fw) else math.inf
+            if u > threshold and _recent_increase(values, m):
+                return Trajectory(
+                    times[: m + 1], values[: m + 1].copy(), TrajectoryStatus.BLEW_UP, m
+                )
+        m = stop
 
     return Trajectory(times, values, TrajectoryStatus.COMPLETED, None)
 

@@ -91,21 +91,40 @@ def _bigfloat_series_reference(alpha, z):
 
     Covers the band 10 < |z| < 250^alpha where the restricted series
     anchor refuses and the asymptotic tail is not yet at full accuracy.
+
+    Every sampled alpha is p/10, so 1/Gamma(alpha (k + 10) + 1) is
+    1/Gamma(alpha k + 1) divided by prod_{i<p} (alpha k + 1 + i), an
+    integer over 10^p, and ``rgamma`` runs for k < 10 only.  The series
+    therefore uses the decimal alpha p/10, not its binary double: near the
+    cancellation peak the terms reach 1e90 while the sum is O(1), so the
+    shift must be exact for the alpha the whole series uses.  The decimal
+    alpha moves the returned double by at most two units in the last place.
     """
+    p = round(10 * alpha)
+    assert abs(10 * alpha - p) < 1e-12, alpha
     x_peak = abs(z) ** (1.0 / alpha)
     k_peak = max(0.0, (x_peak - 0.5) / alpha)
     log_peak = k_peak * math.log(abs(z)) - float(gammaln(alpha * k_peak + 1.0))
     extra = max(0, int(math.ceil(log_peak / math.log(10.0))))
     with mp.workdps(75 + extra):
         zm = mp.mpf(z)
-        am = mp.mpf(alpha)
+        am = mp.mpf(p) / 10
         total = mp.mpf(0)
         power = mp.mpf(1)
         cutoff = mp.mpf(10) ** -50
         consecutive = 0
         k = 0
+        rgammas = []
         while consecutive < 10:
-            term = power * mp.rgamma(am * k + 1)
+            if k < 10:
+                rgammas.append(mp.rgamma(am * k + 1))
+            else:
+                # prod_{i<p} (alpha (k - 10) + 1 + i), in tenths: exact integers
+                shift = 1
+                for i in range(p):
+                    shift *= p * (k - 10) + 10 * (1 + i)
+                rgammas.append(rgammas[k - 10] * 10**p / shift)
+            term = power * rgammas[k]
             total += term
             scale = abs(total)
             if scale == 0:

@@ -85,6 +85,28 @@ class TestSolve:
         result = runner.invoke(main, ["solve", "--alpha", "1.5", "--u0", "0.5"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("flags", [["--t-max", "inf"], ["--h", "inf", "--t-max", "inf"]])
+    def test_infinite_horizon_is_usage_error(self, runner, flags):
+        result = runner.invoke(main, ["solve", "--alpha", "0.5", "--u0", "2"] + flags)
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "t_max < inf" in result.output
+
+    @pytest.mark.parametrize("threshold", ["1e300", "inf"])
+    def test_overflow_is_accuracy_failure(self, runner, threshold):
+        # No value can pass such a threshold before the squared history
+        # overflows: the run ends at its last finite node and says so.
+        result = runner.invoke(
+            main,
+            ["solve", "--alpha", "0.5", "--u0", "2", "--h", "0.001", "--t-max", "2",
+             "--threshold", threshold],
+        )
+        assert result.exit_code == 3
+        assert "accuracy failure" in result.stderr
+        traj = trajectory_from_csv(result.stdout)
+        assert traj.status is TrajectoryStatus.ACCURACY_FAILURE
+        assert traj.status_index == len(traj) - 1 == 147
+
     def test_missing_required_flag(self, runner):
         result = runner.invoke(main, ["solve", "--alpha", "0.5"])
         assert result.exit_code == 2

@@ -67,6 +67,13 @@ class TestProblemSpecValidation:
         with pytest.raises(ValueError):
             ProblemSpec(0.5, 0.5, step=step, t_max=t_max)
 
+    @pytest.mark.parametrize(
+        "step,t_max", [(1e-3, math.inf), (math.inf, math.inf), (1e-3, math.nan)]
+    )
+    def test_horizon_must_be_finite(self, step, t_max):
+        with pytest.raises(ValueError):
+            ProblemSpec(0.5, 2.0, step=step, t_max=t_max)
+
     def test_threshold_must_exceed_start(self):
         with pytest.raises(ValueError):
             ProblemSpec(0.5, 5.0, blowup_threshold=2.0)
