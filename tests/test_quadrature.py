@@ -2,8 +2,9 @@
 
 The backward-Euler weights have several independent handles: closed forms
 for the leading coefficients, a gamma-recurrence oracle for the plain-power
-branch, generating-function round-trips on the extraction contour, and the
-algebraic identities linking the three kernel symbols.
+branch, a direct-recurrence oracle for the decay branch, generating-function
+round-trips on the extraction contour, and the algebraic identities linking
+the three kernel symbols.
 """
 
 import math
@@ -11,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+import fraclogistic.quadrature as quadrature_module
 from fraclogistic.quadrature import (
     ContourError,
     KernelBranch,
@@ -19,6 +21,7 @@ from fraclogistic.quadrature import (
     cq_weights,
     laplace_symbol,
 )
+from fraclogistic.solver import ProblemSpec, TrajectoryStatus, solve
 from fraclogistic.special import AccuracyError, ml_grid
 
 # Frozen regression values for the decay branch at alpha=0.5, h=0.01.
@@ -40,6 +43,24 @@ def _gl_reference(alpha: float, h: float, n: int) -> np.ndarray:
     w[0] = h**alpha
     for j in range(1, n + 1):
         w[j] = w[j - 1] * (j - 1 + alpha) / j
+    return w
+
+
+def _decay_reference(alpha: float, h: float, n: int) -> np.ndarray:
+    """Decay weights from the direct O(n^2) recurrence of
+    ((1 - zeta)^a + c) w(zeta) = c, c = h^a:
+
+        (1 + c) w_m = -sum_{j>=1} b_j w_{m-j},
+
+    where b_j < 0 are the Gruenwald-Letnikov coefficients of (1 - zeta)^a,
+    so every term of the sum is positive and nothing cancels."""
+    c = h**alpha
+    j = np.arange(1, n + 1, dtype=float)
+    neg_b = -np.cumprod((j - 1.0 - alpha) / j)
+    w = np.empty(n + 1)
+    w[0] = c / (1.0 + c)
+    for m in range(1, n + 1):
+        w[m] = np.dot(neg_b[:m], w[m - 1 :: -1]) / (1.0 + c)
     return w
 
 
@@ -122,10 +143,23 @@ class TestClosedForms:
         ref = _gl_reference(alpha, h, n)
         assert np.max(np.abs(table.weights - ref) / ref) <= 1e-12
 
-    def test_riemann_liouville_uses_no_contour(self):
-        table = cq_weights(KernelSpec(KernelBranch.RIEMANN_LIOUVILLE, 0.5, 0.01), 100)
+    @pytest.mark.parametrize(
+        "branch", [KernelBranch.RIEMANN_LIOUVILLE, KernelBranch.DECAY])
+    def test_riemann_liouville_uses_no_contour(self, branch):
+        table = cq_weights(KernelSpec(branch, 0.5, 0.01), 100)
         assert table.points == 0
         assert table.radius == 0.0
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
+    def test_decay_matches_direct_recurrence(self, alpha):
+        # The size of table a decay run at h = 1e-4 builds for t <= 1.6.  A
+        # contour FFT loses digits to rounding divided by rho^j here
+        # (2.2e-12 to 2.9e-12 relative).
+        h, n = 1e-4, 16384
+        table = cq_weights(KernelSpec(KernelBranch.DECAY, alpha, h), n)
+        ref = _decay_reference(alpha, h, n)
+        assert np.all(table.weights > 0.0)
+        assert np.max(np.abs(table.weights - ref) / ref) <= 1e-12
 
 
 class TestDecayMass:
@@ -179,6 +213,29 @@ class TestContour:
 
     def test_contour_error_is_accuracy_error(self):
         assert issubclass(ContourError, AccuracyError)
+
+    @staticmethod
+    def _corrupt_reciprocal(monkeypatch):
+        # Off by 1e-9 relative: still finite and positive, with partial sums
+        # inside (0, 1], so only the reciprocal's residual check can see it.
+        original = quadrature_module._reciprocal
+        monkeypatch.setattr(
+            quadrature_module, "_reciprocal", lambda a: original(a) * (1.0 + 1e-9))
+
+    def test_decay_residual_check_fires(self, monkeypatch):
+        spec = KernelSpec(KernelBranch.DECAY, 0.5, 0.01)
+        good = cq_weights(spec, 100).weights
+        self._corrupt_reciprocal(monkeypatch)
+        bad = good * (1.0 + 1e-9)
+        assert np.all(bad > 0.0) and np.sum(bad) <= 1.0
+        with pytest.raises(ContourError):
+            cq_weights(spec, 100)
+
+    def test_decay_residual_failure_ends_solve_at_node_zero(self, monkeypatch):
+        self._corrupt_reciprocal(monkeypatch)
+        traj = solve(ProblemSpec(0.5, 0.5, step=0.01, t_max=1.0))
+        assert traj.status is TrajectoryStatus.ACCURACY_FAILURE
+        assert traj.status_index == 0
 
     @pytest.mark.parametrize(
         "branch",
