@@ -21,7 +21,7 @@ a_0 = 1 + c and a_j = b_j (j >= 1), where b_0 = 1, b_j = b_{j-1} (j - 1 - a)
 iteration r <- r - r (a r - 1) mod zeta^{2m} doubles the number of correct
 coefficients per step with real-FFT products, so the n + 1 weights cost
 O(n log n) (Brent-Kung, "Fast algorithms for manipulating formal power
-series", J. ACM 1978).  Since a_0 > 0 and a_j < 0 for j >= 1, every
+series", J. ACM 1978).  Since a_0 > 0 and a_j <= 0 for j >= 1, every
 weight is positive.
 
 Only the growth weights are extracted by FFT on a circle of radius
