@@ -14,32 +14,22 @@ Gruenwald-Letnikov coefficients of (1 - zeta)^(-a), which follow exactly
 from the recurrence w_0 = h^a, w_j = w_{j-1} (j - 1 + a) / j (Lubich,
 "Discretized fractional calculus", SIAM J. Math. Anal. 1986).
 
-The decay symbol becomes c / ((1 - zeta)^a + c) with c = h^a, so its
-weights are c times the reciprocal of the power series a(zeta) with
-a_0 = 1 + c and a_j = b_j (j >= 1), where b_0 = 1, b_j = b_{j-1} (j - 1 - a)
-/ j are the Gruenwald-Letnikov coefficients of (1 - zeta)^a.  Newton
-iteration r <- r - r (a r - 1) mod zeta^{2m} doubles the number of correct
-coefficients per step with real-FFT products, so the n + 1 weights cost
-O(n log n) (Brent-Kung, "Fast algorithms for manipulating formal power
-series", J. ACM 1978).  Since a_0 > 0 and a_j <= 0 for j >= 1, every
-weight is positive.
-
-Only the growth weights are extracted by FFT on a circle of radius
-rho < 1; the contour analysis below applies to that branch alone.
-Accuracy of the extraction is governed by two competing effects: aliasing
-(contributions of coefficients j + m N folded back by the discrete sum,
-proportional to rho^{N}) and rounding amplification (machine noise in the
-samples divided by rho^{j}).  With rho^N = eps_c and N >= 8 (n + 1) the
-amplification at j = n is at most eps_c^{-1/8} ~ 56, keeping weight errors
-near 1e-13 while aliasing stays below eps_c.  The growth symbol has a pole
-at zeta = 1 - h, so its weights grow like (1 - h)^{-j}
-and the relative aliasing is (rho / (1 - h))^N: the radius is
-rho = (1 - h) eps_c^{1/N}, capped at 1 - 2 h so the contour never
-approaches the pole.  Below the cap the amplification relative to the
-growing weights stays at most eps_c^{-1/8}.  Where the cap binds
-(h N > ln(1/eps_c) roughly), ((1 - 2 h) / (1 - h))^N is already below
-eps_c, but rounding is amplified relative to the weights by up to
-((1 - h) / (1 - 2 h))^n ~ e^{t_n}: about 3e-8 at t_n = 16.
+The decay and growth symbols become c / ((1 - zeta)^a +- c) with c = h^a,
+so their weights are c times the reciprocal of the power series a(zeta)
+with a_0 = 1 +- c (+ for decay, - for growth) and a_j = b_j (j >= 1), where
+b_0 = 1, b_j = b_{j-1} (j - 1 - a) / j are the Gruenwald-Letnikov
+coefficients of (1 - zeta)^a.  Newton iteration r <- r - r (a r - 1) mod
+zeta^{2m} doubles the number of correct coefficients per step with
+real-FFT products, so the n + 1 weights cost O(n log n) (Brent-Kung, "Fast
+algorithms for manipulating formal power series", J. ACM 1978).  Since
+a_0 > 0 and a_j < 0 for j >= 1, every weight is positive; for growth
+a_0 > 0 needs c < 1, that is h < 1.  The growth symbol has its pole at
+zeta = 1 - h, so its weights grow like (1 - h)^{-j} ~ e^{t_j}.  That branch
+inverts the scaled series a_j rho^j with rho = 1 - h, which moves the pole
+to zeta = 1, where the reciprocal's coefficients tend to a constant;
+dividing them by rho^j then costs one rounding per weight at any horizon.
+A growth table whose weights leave the floating-point range (past
+t ~ 709 for small h) is rejected.  The decay series is inverted unscaled.
 """
 
 from __future__ import annotations
@@ -57,7 +47,7 @@ __all__ = ["KernelBranch", "KernelSpec", "WeightTable", "ContourError",
 
 
 class ContourError(AccuracyError):
-    """The contour extraction failed its consistency checks."""
+    """A weight table failed its consistency checks."""
 
 
 class KernelBranch(enum.Enum):
@@ -108,17 +98,16 @@ def laplace_symbol(spec: KernelSpec, s: complex | np.ndarray) -> complex | np.nd
 class WeightTable:
     """Convolution quadrature weights w_0..w_n for one kernel.
 
-    ``radius`` and ``points`` record the extraction contour for diagnostics;
-    ``points == 0`` (with ``radius == 0``) means no contour was used: the
-    Riemann-Liouville weights came from their closed form and the decay
-    weights from a power-series reciprocal.  The discrete convolution
-    (K * g)(t_m) ~ sum_{j=0}^{m} w_{m-j} g_j needs only ``weights``.
+    ``points``, the number of contour samples a table was extracted from,
+    is always 0: Riemann-Liouville weights come from their closed form,
+    decay and growth weights from a power-series reciprocal.  The discrete
+    convolution (K * g)(t_m) ~ sum_{j=0}^{m} w_{m-j} g_j needs only
+    ``weights``.
     """
 
     kernel: KernelSpec
     weights: np.ndarray
-    radius: float
-    points: int
+    points: int = 0
 
     @property
     def alpha(self) -> float:
@@ -150,16 +139,15 @@ def _reciprocal(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def cq_weights(spec: KernelSpec, n: int, eps_contour: float = 1e-14) -> WeightTable:
+def cq_weights(spec: KernelSpec, n: int) -> WeightTable:
     """Backward-Euler convolution quadrature weights w_0..w_n.
 
-    Riemann-Liouville weights come from their closed-form recurrence and
-    decay weights from the reciprocal of a power series; neither uses a
-    contour, so ``eps_contour`` affects the growth branch only.  Raises
-    :class:`ContourError` if a table fails its self-consistency checks:
-    for decay, non-finite or non-positive weights, a reciprocal that does
-    not reproduce the symbol, or partial sums outside (0, 1]; for growth,
-    non-finite samples or weights, or a broken contour round-trip.
+    Riemann-Liouville weights come from their closed-form recurrence, decay
+    and growth weights from the reciprocal of a power series.  Raises
+    :class:`ContourError` for a growth step h >= 1, or if a table fails its
+    self-consistency checks: a reciprocal that is not finite, not positive
+    or does not reproduce the series it inverts, growth weights past the
+    floating-point range, or decay partial sums outside (0, 1].
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -168,50 +156,39 @@ def cq_weights(spec: KernelSpec, n: int, eps_contour: float = 1e-14) -> WeightTa
     if spec.branch is KernelBranch.RIEMANN_LIOUVILLE:
         ratios = np.cumprod((j - 1.0 + spec.alpha) / j)
         weights = h ** spec.alpha * np.concatenate(([1.0], ratios))
-        return WeightTable(kernel=spec, weights=weights, radius=0.0, points=0)
-    if spec.branch is KernelBranch.DECAY:
-        # w = c / ((1 - zeta)^a + c): c times the reciprocal of a, whose
-        # coefficients are 1 + c and the Gruenwald-Letnikov b_1, b_2, ...
-        c = h ** spec.alpha
-        a = np.concatenate(([1.0 + c], np.cumprod((j - 1.0 - spec.alpha) / j)))
-        weights = c * _reciprocal(a)
-        if not np.all(np.isfinite(weights)):
-            raise ContourError(f"non-finite weights for {spec}")
-        residual = _mul_trunc(a, weights, n + 1)
-        residual[0] -= c
-        if np.max(np.abs(residual)) > 1e-12 * c or not np.all(weights > 0.0):
-            raise ContourError(f"decay weight reciprocal failed for {spec}")
+        return WeightTable(kernel=spec, weights=weights)
+    # w = c / ((1 - zeta)^a +- c): c times the reciprocal of a, whose
+    # coefficients are 1 +- c and the Gruenwald-Letnikov b_1, b_2, ...
+    c = h ** spec.alpha
+    growth = spec.branch is KernelBranch.GROWTH
+    if growth and c >= 1.0:
+        raise ContourError(
+            f"growth weights need step < 1 to keep the symbol pole 1 - h "
+            f"inside the unit disk, got h={h}")
+    a = np.concatenate(([1.0 - c if growth else 1.0 + c],
+                        np.cumprod((j - 1.0 - spec.alpha) / j)))
+    if growth:
+        # expand in zeta / rho with rho = 1 - h, the symbol pole, where the
+        # reciprocal's coefficients stay bounded
+        rho_j = (1.0 - h) ** np.arange(n + 1)
+        a *= rho_j
+    r = _reciprocal(a)
+    residual = _mul_trunc(a, r, n + 1)
+    residual[0] -= 1.0
+    if not (np.all(np.isfinite(r)) and np.max(np.abs(residual)) <= 1e-12
+            and np.all(r > 0.0)):
+        raise ContourError(f"weight reciprocal failed for {spec}")
+    if not growth:
+        weights = c * r
         # partial sums of the decay weights approximate 1 - E_a(-t^a) and
         # must stay inside (0, 1)
         partial = np.cumsum(weights)
         if partial[0] <= 0.0 or np.max(partial) > 1.0 + 1e-8:
             raise ContourError(
                 f"decay weight partial sums left (0, 1]: max={np.max(partial)}")
-        return WeightTable(kernel=spec, weights=weights, radius=0.0, points=0)
-
-    # growth: keep the contour strictly inside the pole radius |zeta| = 1 - h
-    if h >= 0.25:
-        raise ContourError(
-            f"growth weights need step < 0.25 to separate the contour "
-            f"from the symbol pole, got h={h}")
-    num = 1 << max(4, int(math.ceil(math.log2(8.0 * (n + 1)))))
-    rho = min((1.0 - h) * eps_contour ** (1.0 / num), 1.0 - 2.0 * h)
-    zeta = rho * np.exp(2j * np.pi * np.arange(num) / num)
-    samples = laplace_symbol(spec, (1.0 - zeta) / h)
-    if not np.all(np.isfinite(samples.real) & np.isfinite(samples.imag)):
-        raise ContourError(f"non-finite symbol samples for {spec}")
-
-    # Taylor extraction c_j = (1/N) sum_k F_k e^{-2 pi i j k / N}: the
-    # minus-sign kernel is numpy's forward fft
-    coeff = np.fft.fft(samples) / num
-    scale = np.max(np.abs(samples))
-    # generating-function consistency: the coefficient set must reproduce
-    # the samples (catches indexing/scaling mistakes in the extraction)
-    recon = np.fft.ifft(coeff) * num
-    if np.max(np.abs(recon - samples)) > 1e-8 * scale:
-        raise ContourError(f"contour round-trip failed for {spec}")
-
-    weights = coeff.real[: n + 1] / rho ** np.arange(n + 1)
+        return WeightTable(kernel=spec, weights=weights)
+    with np.errstate(over="ignore", divide="ignore"):
+        weights = c * r / rho_j
     if not np.all(np.isfinite(weights)):
-        raise ContourError(f"non-finite weights for {spec}")
-    return WeightTable(kernel=spec, weights=weights, radius=rho, points=num)
+        raise ContourError(f"growth weights overflow for {spec} at n={n}")
+    return WeightTable(kernel=spec, weights=weights)

@@ -112,12 +112,12 @@ class TestSolve:
         assert result.exit_code == 2
 
     def test_accuracy_failure_exit_code(self, runner):
-        # Growth-branch weights refuse h >= 1/4: the run ends immediately
+        # Growth-branch weights refuse h >= 1: the run ends immediately
         # with accuracy-failure status and the process signals it.
         result = runner.invoke(
             main,
             ["solve", "--alpha", "0.5", "--u0", "1", "--problem", "shifted-logistic",
-             "--h", "0.3", "--t-max", "3"],
+             "--h", "1.5", "--t-max", "3"],
         )
         assert result.exit_code == 3
         assert "# accuracy_failure_at=" in result.output
@@ -229,11 +229,12 @@ class TestWeights:
         assert values == pytest.approx(expected, rel=1e-12)
 
     def test_growth_coarse_step_accuracy_failure(self, runner):
-        result = runner.invoke(
-            main, ["weights", "--alpha", "0.5", "--h", "0.3", "--branch", "growth"]
-        )
-        assert result.exit_code == 3
-        assert "accuracy failure" in result.stderr
+        for step in ("1.0", "1.5"):
+            result = runner.invoke(
+                main, ["weights", "--alpha", "0.5", "--h", step, "--branch", "growth"]
+            )
+            assert result.exit_code == 3
+            assert "accuracy failure" in result.stderr
 
     def test_negative_count_rejected(self, runner):
         result = runner.invoke(main, ["weights", "--alpha", "0.5", "--n", "-1"])

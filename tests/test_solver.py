@@ -292,18 +292,20 @@ class TestPicard:
 
 class TestAccuracyFailure:
     def test_growth_kernel_step_too_coarse(self):
-        # The growth-branch weight extraction cannot separate its contour
-        # from the symbol pole at h >= 1/4; the run reports a failure status
-        # at the initial node instead of raising.
-        traj = solve(
-            ProblemSpec(
-                0.5, 1.0, nonlinearity=Nonlinearity.SHIFTED_LOGISTIC, step=0.3, t_max=3.0
+        # Growth-branch weights need h < 1, where the symbol pole 1 - h lies
+        # inside the unit disk; the run reports a failure status at the
+        # initial node instead of raising.
+        for step in (1.0, 1.5):
+            traj = solve(
+                ProblemSpec(
+                    0.5, 1.0, nonlinearity=Nonlinearity.SHIFTED_LOGISTIC, step=step,
+                    t_max=3.0
+                )
             )
-        )
-        assert traj.status is TrajectoryStatus.ACCURACY_FAILURE
-        assert traj.status_index == 0
-        assert len(traj) == 1
-        assert traj.values[0] == 1.0
+            assert traj.status is TrajectoryStatus.ACCURACY_FAILURE
+            assert traj.status_index == 0
+            assert len(traj) == 1
+            assert traj.values[0] == 1.0
 
 
 class TestSizedTables:
